@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"runtime"
@@ -284,8 +285,13 @@ func Compare(w io.Writer, baseline, candidate File, threshold float64) bool {
 			nsDelta = c.NsOp/b.NsOp - 1
 		}
 		allocDelta := 0.0
-		if b.AllocsOp > 0 {
+		switch {
+		case b.AllocsOp > 0:
 			allocDelta = c.AllocsOp/b.AllocsOp - 1
+		case c.AllocsOp > 0:
+			// An allocation-free baseline has no ratio to grow by; any
+			// allocation at all is the regression.
+			allocDelta = math.Inf(1)
 		}
 		status := "ok"
 		switch {

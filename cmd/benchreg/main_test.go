@@ -124,3 +124,17 @@ func TestCompareGatesAllocsAcrossCPUs(t *testing.T) {
 		t.Fatalf("alloc regression passed across CPUs:\n%s", out.String())
 	}
 }
+
+func TestCompareGatesAllocationFreeBaseline(t *testing.T) {
+	// A 0 allocs/op baseline (the domains' Play/Undo) fails on the first
+	// allocation: there is no ratio to compare, so any growth counts.
+	base := file(Bench{Name: "A", Runs: 1, NsOp: 100, AllocsOp: 0})
+	var out strings.Builder
+	if ok := Compare(&out, base, file(Bench{Name: "A", Runs: 1, NsOp: 100, AllocsOp: 0}), 0.20); !ok {
+		t.Fatalf("allocation-free run failed against allocation-free baseline:\n%s", out.String())
+	}
+	out.Reset()
+	if ok := Compare(&out, base, file(Bench{Name: "A", Runs: 1, NsOp: 100, AllocsOp: 1}), 0.20); ok {
+		t.Fatalf("first allocation passed against a 0 allocs/op baseline:\n%s", out.String())
+	}
+}

@@ -34,20 +34,23 @@ func BenchmarkNestedLevel2(b *testing.B) {
 
 // BenchmarkNestedLevel1 is the same comparison one level down, where the
 // argmax loop runs a playout per candidate instead of a nested search.
+// The 5D case runs the undo traversal on the paper's variant: a level-1
+// game is what every client plays under a first-move job.
 func BenchmarkNestedLevel1(b *testing.B) {
-	run := func(b *testing.B, noUndo bool) {
+	run := func(b *testing.B, v morpion.Variant, noUndo bool) {
 		opt := DefaultOptions()
 		opt.NoUndo = noUndo
 		s := NewSearcher(rng.New(1), opt)
-		base := morpion.New(morpion.Var4D)
+		base := morpion.New(v)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Nested(base.Clone(), 1)
 		}
 	}
-	b.Run("undo", func(b *testing.B) { run(b, false) })
-	b.Run("clone", func(b *testing.B) { run(b, true) })
+	b.Run("undo", func(b *testing.B) { run(b, morpion.Var4D, false) })
+	b.Run("clone", func(b *testing.B) { run(b, morpion.Var4D, true) })
+	b.Run("5D", func(b *testing.B) { run(b, morpion.Var5D, false) })
 }
 
 // BenchmarkCachedNested measures what the transposition cache buys on the

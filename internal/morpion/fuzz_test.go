@@ -4,7 +4,8 @@ package morpion
 // (undo_test.go, core/equivalence_test.go) to arbitrary inputs: for ANY
 // move sequence, every Undo must restore the position bit-exactly —
 // score, move count and the exact ORDER of the legal-move list, captured
-// as a position hash. The search's undo traversal is only equivalent to
+// as a position hash — and keep the line bytes equal to a from-scratch
+// count (checkLines). The search's undo traversal is only equivalent to
 // the clone traversal if this holds on every reachable position, not
 // just the seeded ones.
 
@@ -69,6 +70,7 @@ func FuzzPlayUndoRoundTrip(f *testing.F) {
 		h, buf := fuzzHash(st, buf)
 		hashes = append(hashes, h)
 		checkZobrist(t, st, "fresh position")
+		checkLines(t, st, "fresh position")
 
 		var legal []game.Move
 		for _, b := range picks {
@@ -80,6 +82,7 @@ func FuzzPlayUndoRoundTrip(f *testing.F) {
 			h, buf = fuzzHash(st, buf)
 			hashes = append(hashes, h)
 			checkZobrist(t, st, "after play")
+			checkLines(t, st, "after play")
 		}
 
 		for depth := len(hashes) - 1; depth > 0; depth-- {
@@ -90,6 +93,7 @@ func FuzzPlayUndoRoundTrip(f *testing.F) {
 					depth-1, h, hashes[depth-1])
 			}
 			checkZobrist(t, st, "after undo")
+			checkLines(t, st, "after undo")
 		}
 		if st.MovesPlayed() != 0 {
 			t.Fatalf("fully rewound position still has %d moves", st.MovesPlayed())

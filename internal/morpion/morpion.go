@@ -24,17 +24,19 @@ package morpion
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/game"
 	"repro/internal/rng"
 )
 
 // Incremental position hashing (game.Hasher). The hash is a Zobrist XOR
-// over the cells of the five planes (occupancy plus the four per-direction
-// usage planes) on top of a per-variant base salt. Feature keys are derived
-// with one rng.Mix per cell — boards are user-sizeable, so a precomputed
-// table cannot cover every size, and a Mix costs a few nanoseconds against
-// a Play whose move-list maintenance walks the whole legal list anyway.
+// over the occupied cells and the per-direction usage flags on top of a
+// per-variant base salt. The key of a feature is one rng.Mix of its plane
+// salt and cell index. Play and Undo read the keys from the geometry
+// table (occKey, usedKey), built once per board size like the line table;
+// hashFromScratch derives them afresh, so the tests check one against the
+// other.
 const hashSalt = 0x4d6f7270696f6e88 // "Morpion" flavoured
 
 // planeSalt[p] salts the feature keys of plane p (0 = occupancy, 1+d =
@@ -166,22 +168,128 @@ func (v Variant) CrossPoints() int {
 	return n
 }
 
+// --- line geometry --------------------------------------------------------
+
+// A line is identified by its base cell and direction: id = base*numDirs+d.
+// Each State keeps one byte per line id (State.lines):
+//
+//	bit 7      : lineUsed, the usage flag of the base cell in direction d —
+//	             its point (D rule) or the unit link from it (T rule) is
+//	             consumed by a drawn line of direction d
+//	bits 0..6  : (LineLen - occupied points of the line)
+//	             + usedUnit * (usage flags of direction d on the line)
+//
+// The usage flags counted are the line's LineLen points under the D rule
+// and its LineLen-1 links (flags of its first LineLen-1 cells) under the
+// T rule. An on-board line is a legal move iff its count is exactly 1: one
+// empty point and no usage. The count stays below 128 while LineLen ≤ 7
+// (at most 7 + 16·7 = 119). Lines that leave the board keep count 0.
+const (
+	lineUsed  = 0x80
+	lineCount = 0x7f
+	usedUnit  = 16
+	maxLine   = 7 // longest line whose count fits in lineCount
+)
+
+// geometry is the immutable per-variant line table shared by every State
+// of that variant.
+type geometry struct {
+	lineLen int
+	// span is the number of usage flags a drawn line claims, and so the
+	// number of lines of its direction that hold each flag: LineLen points
+	// (D) or LineLen-1 links (T).
+	span  int
+	steps [numDirs]int // cell-index delta of one step in each direction
+	// through[(cell*numDirs+d)*lineLen+k] is the id of the line of
+	// direction d holding cell at offset k, or -1 if that line leaves the
+	// board. A cell's row lists its lines d-major, then by k. Since offset
+	// 0 is the base, entry [id*lineLen] is id itself for on-board lines.
+	through []int32
+	// occKey[cell] and usedKey[id] are the Zobrist keys of a point at cell
+	// and of the usage flag held by line byte id.
+	occKey, usedKey []uint64
+}
+
+type geometryKey struct {
+	lineLen, boardSize int
+	disjoint           bool
+}
+
+// geometries caches one geometry per (LineLen, Disjoint, BoardSize).
+var geometries sync.Map
+
+func geometryFor(v Variant) *geometry {
+	key := geometryKey{v.LineLen, v.BoardSize, v.Disjoint}
+	if g, ok := geometries.Load(key); ok {
+		return g.(*geometry)
+	}
+	g, _ := geometries.LoadOrStore(key, newGeometry(v))
+	return g.(*geometry)
+}
+
+func newGeometry(v Variant) *geometry {
+	L, w := v.LineLen, v.BoardSize
+	g := &geometry{lineLen: L, span: L, through: make([]int32, w*w*numDirs*L)}
+	if !v.Disjoint {
+		g.span = L - 1
+	}
+	keys := make([]uint64, (1+numDirs)*w*w)
+	g.occKey, g.usedKey = keys[:w*w], keys[w*w:]
+	for cell := range g.occKey {
+		g.occKey[cell] = rng.Mix(planeSalt[0], uint64(cell))
+	}
+	for id := range g.usedKey {
+		g.usedKey[id] = rng.Mix(planeSalt[1+id%numDirs], uint64(id/numDirs))
+	}
+	onBoard := func(x, y int) bool { return x >= 0 && x < w && y >= 0 && y < w }
+	for d := 0; d < numDirs; d++ {
+		g.steps[d] = dirDY[d]*w + dirDX[d]
+	}
+	for cell := 0; cell < w*w; cell++ {
+		for d := 0; d < numDirs; d++ {
+			for k := 0; k < L; k++ {
+				bx, by := cell%w-k*dirDX[d], cell/w-k*dirDY[d]
+				id := int32(-1)
+				if onBoard(bx, by) && onBoard(bx+(L-1)*dirDX[d], by+(L-1)*dirDY[d]) {
+					id = int32((by*w+bx)*numDirs + d)
+				}
+				g.through[(cell*numDirs+d)*L+k] = id
+			}
+		}
+	}
+	return g
+}
+
+// row returns the ids of the lines through cell, d-major then by offset.
+func (g *geometry) row(cell int) []int32 {
+	n := numDirs * g.lineLen
+	return g.through[cell*n : cell*n+n]
+}
+
+// blocked returns the ids of the lines of direction d that hold the usage
+// flag at cell (its point under D, the link from it under T), by offset.
+func (g *geometry) blocked(cell int, d Dir) []int32 {
+	i := (cell*numDirs + int(d)) * g.lineLen
+	return g.through[i : i+g.span]
+}
+
 // State is a Morpion Solitaire position with incrementally maintained legal
 // moves. It implements game.State. The zero value is not usable; call New.
 type State struct {
-	v Variant
-	w int // board side
+	v   Variant
+	w   int // board side
+	geo *geometry
 
-	// planes is the single backing array for the five cell planes below;
-	// keeping them contiguous makes Clone a single allocation plus copy,
-	// which matters because nested search clones on every candidate move.
+	// planes is the single backing array for occ and lines (five bytes per
+	// cell); keeping them contiguous makes Clone a single allocation plus
+	// copy, which matters because nested search clones on every candidate
+	// move.
 	planes []uint8
 	// occ[i] is nonzero when grid cell i holds a point.
 	occ []uint8
-	// used[d][i] marks, for direction d, either the point i (Disjoint rule)
-	// or the unit link whose lower endpoint is i (Touching rule) as consumed
-	// by an existing line.
-	used [numDirs][]uint8
+	// lines[id] is the state byte of line id = base*numDirs+d: its
+	// fill/usage count and the usage flag of (base, d). See lineUsed.
+	lines []uint8
 
 	moves []game.Move // current legal moves, deterministic order
 	seq   []game.Move // moves played since the initial position
@@ -217,7 +325,7 @@ type histEntry struct {
 // New returns the initial position of the given variant, with the standard
 // 36-point cross centred on the working grid.
 func New(v Variant) *State {
-	if v.LineLen < 3 || v.LineLen > 8 {
+	if v.LineLen < 3 || v.LineLen > maxLine {
 		panic(fmt.Sprintf("morpion: unsupported line length %d", v.LineLen))
 	}
 	cross := crossFor(v.LineLen)
@@ -225,30 +333,37 @@ func New(v Variant) *State {
 	if w < len(cross)+4*v.LineLen {
 		panic(fmt.Sprintf("morpion: board size %d too small for line length %d", w, v.LineLen))
 	}
-	s := &State{v: v, w: w}
+	s := &State{v: v, w: w, geo: geometryFor(v)}
 	s.attachPlanes(make([]uint8, 5*w*w))
 	s.originX = (w - len(cross)) / 2
 	s.originY = (w - len(cross)) / 2
 	s.hash = baseHash(v, w)
-	for y, xs := range cross {
-		for _, x := range xs {
-			idx := (s.originY+y)*w + s.originX + x
-			s.occ[idx] = 1
-			s.hash ^= rng.Mix(planeSalt[0], uint64(idx))
+	// Every on-board line starts with all its points empty.
+	for id := range s.lines {
+		if s.geo.through[id*v.LineLen] >= 0 {
+			s.lines[id] = uint8(v.LineLen)
 		}
 	}
-	s.moves = s.scanAllMoves(nil)
+	for y, xs := range cross {
+		for _, x := range xs {
+			s.occupy((s.originY+y)*w + s.originX + x)
+		}
+	}
+	// Ascending line ids visit bases in (y, x) order, then directions.
+	for id, b := range s.lines {
+		if b&lineCount == 1 {
+			s.moves = append(s.moves, s.lineMove(id))
+		}
+	}
 	return s
 }
 
-// attachPlanes slices the five cell planes out of one backing array.
+// attachPlanes slices occ and lines out of one backing array.
 func (s *State) attachPlanes(planes []uint8) {
 	cells := s.w * s.w
 	s.planes = planes
 	s.occ = planes[:cells:cells]
-	for d := 0; d < numDirs; d++ {
-		s.used[d] = planes[(1+d)*cells : (2+d)*cells : (2+d)*cells]
-	}
+	s.lines = planes[cells:]
 }
 
 // Variant returns the rule set of the position.
@@ -296,6 +411,7 @@ func (s *State) Clone() game.State {
 	c := &State{
 		v:       s.v,
 		w:       s.w,
+		geo:     s.geo,
 		moves:   append([]game.Move(nil), s.moves...),
 		seq:     append([]game.Move(nil), s.seq...),
 		originX: s.originX,
@@ -317,6 +433,7 @@ func (s *State) CopyFrom(src game.State) {
 		panic("morpion: CopyFrom with a non-Morpion state")
 	}
 	s.v = o.v
+	s.geo = o.geo
 	if s.w != o.w {
 		s.w = o.w
 		s.attachPlanes(make([]uint8, len(o.planes)))
@@ -348,14 +465,43 @@ func (s *State) hashFromScratch() uint64 {
 			h ^= rng.Mix(planeSalt[0], uint64(idx))
 		}
 	}
-	for d := 0; d < numDirs; d++ {
-		for idx, used := range s.used[d] {
-			if used != 0 {
-				h ^= rng.Mix(planeSalt[1+d], uint64(idx))
-			}
+	for id, b := range s.lines {
+		if b&lineUsed != 0 {
+			h ^= rng.Mix(planeSalt[1+id%numDirs], uint64(id/numDirs))
 		}
 	}
 	return h
+}
+
+// linesFromScratch recomputes every line byte from the occupancy cells and
+// the usage flags by walking each line on the board, independently of the
+// geometry table. It is the oracle the tests compare s.lines against.
+func (s *State) linesFromScratch() []uint8 {
+	L, w := s.v.LineLen, s.w
+	span := L
+	if !s.v.Disjoint {
+		span = L - 1
+	}
+	out := make([]uint8, len(s.lines))
+	for id := range out {
+		base, d := id/numDirs, id%numDirs
+		out[id] = s.lines[id] & lineUsed
+		endX, endY := base%w+(L-1)*dirDX[d], base/w+(L-1)*dirDY[d]
+		if endX < 0 || endX >= w || endY < 0 || endY >= w {
+			continue
+		}
+		n := L
+		for j, c := 0, base; j < L; j, c = j+1, c+dirDY[d]*w+dirDX[d] {
+			if s.occ[c] != 0 {
+				n--
+			}
+			if j < span && s.lines[c*numDirs+d]&lineUsed != 0 {
+				n += usedUnit
+			}
+		}
+		out[id] |= uint8(n)
+	}
+	return out
 }
 
 // EncodedSize implements game.Sizer: an upper bound on the bytes needed to
@@ -397,97 +543,67 @@ func (s *State) MoveParts(m game.Move) (newX, newY, baseX, baseY int, d Dir, k i
 	return
 }
 
-// --- legality ------------------------------------------------------------
-
-// lineCells writes the cell indices of the line (base, d) into cells and
-// reports whether the whole line is on the board.
-func (s *State) lineCells(baseX, baseY int, d Dir, cells []int) bool {
-	dx, dy := dirDX[d], dirDY[d]
-	L := s.v.LineLen
-	endX := baseX + (L-1)*dx
-	endY := baseY + (L-1)*dy
-	if baseX < 0 || baseY < 0 || baseX >= s.w || baseY >= s.w ||
-		endX < 0 || endY < 0 || endX >= s.w || endY >= s.w {
-		return false
-	}
-	idx := baseY*s.w + baseX
-	step := dy*s.w + dx
-	for i := 0; i < L; i++ {
-		cells[i] = idx
-		idx += step
-	}
-	return true
-}
-
-// usageFree reports whether the line with the given cells violates the
-// variant's same-direction constraint against already-drawn lines.
-func (s *State) usageFree(cells []int, d Dir) bool {
-	u := s.used[d]
-	L := s.v.LineLen
-	if s.v.Disjoint {
-		// D rule: no point of the new line may belong to an existing line
-		// of the same direction.
-		for i := 0; i < L; i++ {
-			if u[cells[i]] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	// T rule: no unit link of the new line may belong to an existing line
-	// of the same direction. A link is identified by its lower cell.
-	for i := 0; i < L-1; i++ {
-		if u[cells[i]] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// candidate checks whether the line (baseX, baseY, d) is a legal move and,
-// if so, returns the packed move. A legal move has the whole line on the
-// board, exactly one empty point, and satisfies the usage constraint.
-func (s *State) candidate(baseX, baseY int, d Dir, cells []int) (game.Move, bool) {
-	if !s.lineCells(baseX, baseY, d, cells) {
-		return 0, false
-	}
-	L := s.v.LineLen
-	empty := -1
-	for i := 0; i < L; i++ {
-		if s.occ[cells[i]] == 0 {
-			if empty >= 0 {
-				return 0, false // two empty points
-			}
-			empty = i
-		}
-	}
-	if empty < 0 {
-		return 0, false // line already complete
-	}
-	if !s.usageFree(cells, d) {
-		return 0, false
-	}
-	return packMove(baseY*s.w+baseX, d, empty), true
-}
-
-// scanAllMoves recomputes the full legal move list from scratch. Used to
-// initialize the position and by tests as an oracle for the incremental
-// update.
-func (s *State) scanAllMoves(buf []game.Move) []game.Move {
-	cells := make([]int, s.v.LineLen)
-	for y := 0; y < s.w; y++ {
-		for x := 0; x < s.w; x++ {
-			for d := Dir(0); d < numDirs; d++ {
-				if m, ok := s.candidate(x, y, d, cells); ok {
-					buf = append(buf, m)
-				}
-			}
-		}
-	}
-	return buf
-}
-
 // --- play / undo ---------------------------------------------------------
+
+// lineMove returns the move of the legal line id: its one empty point is
+// the new point.
+func (s *State) lineMove(id int) game.Move {
+	base, d := id/numDirs, Dir(id%numDirs)
+	k := 0
+	for c, step := base, s.geo.steps[d]; s.occ[c] != 0; c += step {
+		k++
+	}
+	return packMove(base, d, k)
+}
+
+// occupy places a point at cell: every on-board line through it loses an
+// empty point.
+func (s *State) occupy(cell int) {
+	s.occ[cell] = 1
+	s.hash ^= s.geo.occKey[cell]
+	for _, id := range s.geo.row(cell) {
+		if id >= 0 {
+			s.lines[id]--
+		}
+	}
+}
+
+// vacate is occupy's inverse.
+func (s *State) vacate(cell int) {
+	s.occ[cell] = 0
+	s.hash ^= s.geo.occKey[cell]
+	for _, id := range s.geo.row(cell) {
+		if id >= 0 {
+			s.lines[id]++
+		}
+	}
+}
+
+// claim sets (delta = usedUnit) or clears (delta = -usedUnit) the usage
+// flags of the drawn line (base, d), and adds delta per shared flag to the
+// count of every line of direction d that shares some: the line whose base
+// is t steps from base shares span-|t| of them.
+func (s *State) claim(base int, d Dir, delta int8) {
+	g := s.geo
+	step := g.steps[d]
+	for i, c := 0, base; i < g.span; i, c = i+1, c+step {
+		id := c*numDirs + int(d)
+		s.lines[id] ^= lineUsed
+		s.hash ^= g.usedKey[id]
+	}
+	// The lines through base at offset k (t = -k), then those through the
+	// last flagged cell at offset k < span-1 (t = span-1-k).
+	for k, id := range g.blocked(base, d) {
+		if id >= 0 {
+			s.lines[id] += uint8(delta) * uint8(g.span-k)
+		}
+	}
+	for k, id := range g.blocked(base+(g.span-1)*step, d)[:g.span-1] {
+		if id >= 0 {
+			s.lines[id] += uint8(delta) * uint8(k+1)
+		}
+	}
+}
 
 // Play applies a legal move: places the new point, claims the line's usage,
 // and updates the legal move list incrementally. Playing a move that is not
@@ -495,42 +611,23 @@ func (s *State) scanAllMoves(buf []game.Move) []game.Move {
 // from LegalMoves.
 func (s *State) Play(m game.Move) {
 	base, d, k := unpackMove(m)
-	L := s.v.LineLen
-	step := dirDY[d]*s.w + dirDX[d]
-	newCell := base + k*step
+	newCell := base + k*s.stepOf(d)
 
-	s.occ[newCell] = 1
-	s.hash ^= rng.Mix(planeSalt[0], uint64(newCell))
-	u := s.used[d]
-	uSalt := planeSalt[1+d]
-	if s.v.Disjoint {
-		idx := base
-		for i := 0; i < L; i++ {
-			u[idx] = 1
-			s.hash ^= rng.Mix(uSalt, uint64(idx))
-			idx += step
-		}
-	} else {
-		idx := base
-		for i := 0; i < L-1; i++ {
-			u[idx] = 1
-			s.hash ^= rng.Mix(uSalt, uint64(idx))
-			idx += step
-		}
-	}
+	s.occupy(newCell)
+	s.claim(base, d, usedUnit)
 	s.seq = append(s.seq, m)
 
-	// Incremental move list maintenance. Two invalidation causes:
-	//  1. a listed move's new point is newCell, which is now occupied;
-	//  2. a listed move's line conflicts with the just-claimed line under
-	//     the same-direction rule.
-	// And one creation cause: lines through newCell that now have exactly
-	// one empty point. Removed moves go onto the arena stacks so Undo can
-	// restore the list in its exact pre-Play order.
+	// Incremental move list maintenance. A listed move stays legal iff its
+	// line byte still counts 1: it drops to 0 when the move's new point was
+	// newCell, and gains usedUnit when the move's line shares a point (D) or
+	// link (T) with the line just drawn. The only lines that can have become
+	// legal pass through newCell, the one cell whose occupancy changed; they
+	// are appended in d-major, then offset order. Removed moves go onto the
+	// arena stacks so Undo can restore the list in its exact pre-Play order.
 	removed := int32(0)
 	keep := s.moves[:0]
 	for i, mv := range s.moves {
-		if s.moveInvalidated(mv, newCell, base, d, step) {
+		if s.lines[int(mv&0xffff)*numDirs+int(mv>>16&0x3)]&lineCount != 1 {
 			s.histMoves = append(s.histMoves, mv)
 			s.histIdx = append(s.histIdx, int32(i))
 			removed++
@@ -539,77 +636,17 @@ func (s *State) Play(m game.Move) {
 		}
 	}
 	s.moves = keep
-	added := s.addMovesThrough(newCell)
-	s.hist = append(s.hist, histEntry{move: m, numRemoved: removed, numAdded: int32(added)})
+	added := int32(0)
+	for _, id := range s.geo.row(newCell) {
+		if id >= 0 && s.lines[id]&lineCount == 1 {
+			s.moves = append(s.moves, s.lineMove(int(id)))
+			added++
+		}
+	}
+	s.hist = append(s.hist, histEntry{move: m, numRemoved: removed, numAdded: added})
 }
 
-// moveInvalidated reports whether listed move mv is killed by playing the
-// line (lineBase, d) whose new point is newCell.
-func (s *State) moveInvalidated(mv game.Move, newCell, lineBase int, d Dir, step int) bool {
-	b, md, mk := unpackMove(mv)
-	if b+mk*s.stepOf(md) == newCell {
-		return true // its new point just got occupied
-	}
-	if md != d {
-		return false
-	}
-	// Same direction: check colinearity and overlap with the claimed line.
-	// Two lines in direction d lie on the same lattice line iff their base
-	// cells differ by a multiple of step along that direction; compute the
-	// offset in line coordinates and verify it is consistent in x and y.
-	bx, by := b%s.w, b/s.w
-	lx, ly := lineBase%s.w, lineBase/s.w
-	dx, dy := dirDX[d], dirDY[d]
-	var t int
-	switch {
-	case dx != 0:
-		if (bx-lx)%dx != 0 {
-			return false
-		}
-		t = (bx - lx) / dx
-		if by-ly != t*dy {
-			return false
-		}
-	default: // vertical: dx == 0
-		if bx != lx {
-			return false
-		}
-		t = (by - ly) / dy
-	}
-	L := s.v.LineLen
-	if s.v.Disjoint {
-		// Share a point iff the two length-L ranges [0,L-1] and [t,t+L-1]
-		// intersect.
-		return t > -(L) && t < L
-	}
-	// Touching: share a link iff the link ranges [0,L-2] and [t,t+L-2]
-	// intersect.
-	return t > -(L-1) && t < L-1
-}
-
-func (s *State) stepOf(d Dir) int { return dirDY[d]*s.w + dirDX[d] }
-
-// addMovesThrough appends all moves whose line passes through cell p, and
-// returns how many were added. Only lines through p can have become legal,
-// because p is the only cell whose occupancy changed.
-func (s *State) addMovesThrough(p int) int {
-	px, py := p%s.w, p/s.w
-	L := s.v.LineLen
-	var cells [8]int
-	added := 0
-	for d := Dir(0); d < numDirs; d++ {
-		dx, dy := dirDX[d], dirDY[d]
-		for k := 0; k < L; k++ {
-			baseX := px - k*dx
-			baseY := py - k*dy
-			if m, ok := s.candidate(baseX, baseY, d, cells[:L]); ok {
-				s.moves = append(s.moves, m)
-				added++
-			}
-		}
-	}
-	return added
-}
+func (s *State) stepOf(d Dir) int { return s.geo.steps[d] }
 
 // Undo reverts the most recent move, implementing game.Undoer. It panics
 // if no move has been played since the position was created or cloned (the
@@ -622,29 +659,8 @@ func (s *State) Undo() {
 	s.hist = s.hist[:len(s.hist)-1]
 
 	base, d, k := unpackMove(h.move)
-	L := s.v.LineLen
-	step := s.stepOf(d)
-	newCell := base + k*step
-
-	s.occ[newCell] = 0
-	s.hash ^= rng.Mix(planeSalt[0], uint64(newCell))
-	u := s.used[d]
-	uSalt := planeSalt[1+d]
-	if s.v.Disjoint {
-		idx := base
-		for i := 0; i < L; i++ {
-			u[idx] = 0
-			s.hash ^= rng.Mix(uSalt, uint64(idx))
-			idx += step
-		}
-	} else {
-		idx := base
-		for i := 0; i < L-1; i++ {
-			u[idx] = 0
-			s.hash ^= rng.Mix(uSalt, uint64(idx))
-			idx += step
-		}
-	}
+	s.claim(base, d, -usedUnit)
+	s.vacate(base + k*s.stepOf(d))
 	s.seq = s.seq[:len(s.seq)-1]
 	// Restore the move list to its exact pre-Play order: drop the appended
 	// moves, then reinsert the removed ones (popped off the arena stacks)

@@ -88,7 +88,9 @@ func playout(s *State, r *rng.Rand) *State {
 
 func TestIncrementalMovegenMatchesRescan(t *testing.T) {
 	// Oracle test: after every move of a random game, the incrementally
-	// maintained move list must equal a from-scratch scan.
+	// maintained move list must equal a from-scratch scan, and the line
+	// bytes a from-scratch count. The game is then undone move by move
+	// with the line bytes checked again.
 	for _, v := range allVariants {
 		t.Run(v.Name, func(t *testing.T) {
 			r := rng.New(1234)
@@ -98,6 +100,7 @@ func TestIncrementalMovegenMatchesRescan(t *testing.T) {
 				for !s.Terminal() {
 					buf = s.LegalMoves(buf[:0])
 					s.Play(buf[r.Intn(len(buf))])
+					checkLines(t, s, "after play")
 					got := append([]game.Move(nil), s.moves...)
 					want := s.scanAllMoves(nil)
 					sortMoves(got)
@@ -106,6 +109,10 @@ func TestIncrementalMovegenMatchesRescan(t *testing.T) {
 						t.Fatalf("%s: move list diverged after move %d:\nincremental=%v\nrescan=%v",
 							v.Name, s.MovesPlayed(), got, want)
 					}
+				}
+				for s.MovesPlayed() > 0 {
+					s.Undo()
+					checkLines(t, s, "after undo")
 				}
 			}
 		})
@@ -134,6 +141,7 @@ func TestPlayUndoRoundTrip(t *testing.T) {
 			r := rng.New(99)
 			s := New(v)
 			snapOcc := append([]uint8(nil), s.occ...)
+			snapLines := append([]uint8(nil), s.lines...)
 			snapMoves := append([]game.Move(nil), s.moves...)
 			sortMoves(snapMoves)
 
@@ -153,11 +161,12 @@ func TestPlayUndoRoundTrip(t *testing.T) {
 					t.Fatalf("occupancy cell %d not restored", i)
 				}
 			}
-			for d := 0; d < numDirs; d++ {
-				for i, u := range s.used[d] {
-					if u != 0 {
-						t.Fatalf("usage[%d][%d] not cleared by undo", d, i)
-					}
+			for id, b := range s.lines {
+				if b&lineUsed != 0 {
+					t.Fatalf("usage flag of line %d not cleared by undo", id)
+				}
+				if b != snapLines[id] {
+					t.Fatalf("line %d byte %#x not restored to %#x", id, b, snapLines[id])
 				}
 			}
 			got := append([]game.Move(nil), s.moves...)

@@ -128,7 +128,7 @@ func (r *Router) Submit(ctx context.Context, spec JobSpec) (string, error) {
 	}
 	var lastErr error
 	for _, m := range r.ranked() {
-		id, err := m.Submit(ctx, spec)
+		id, err := m.submit(ctx, spec)
 		if errors.Is(err, ErrSaturated) {
 			lastErr = err
 			continue // spill over to the next-least-loaded pool

@@ -602,7 +602,13 @@ func (m *Manager) Submit(ctx context.Context, spec JobSpec) (string, error) {
 	if _, err := spec.Config(); err != nil {
 		return "", err
 	}
+	return m.submit(ctx, spec)
+}
 
+// submit is Submit for a spec the caller has already validated: it skips
+// the spec.Config check, which builds the job's root position (the Router
+// validates once, before charging quota, and then places the job).
+func (m *Manager) submit(ctx context.Context, spec JobSpec) (string, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
