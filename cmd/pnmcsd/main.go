@@ -113,7 +113,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: newMux(rt)}
+	srv := newServer(*addr, newMux(rt), readHeaderTimeout)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("pnmcsd listening on %s: %d pools x (%d slots, %d medians, %d clients, queue %d)",
@@ -155,6 +155,21 @@ func main() {
 		log.Printf("http drain: %v", err)
 	}
 	log.Print("pnmcsd stopped")
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers: a client trickling header bytes (slowloris) would
+// otherwise hold a connection and its goroutine open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
+// maxSpecBytes bounds a POST /v1/jobs body. A job spec is a few hundred
+// bytes of JSON; anything past the bound is answered with 413 before it
+// is buffered.
+const maxSpecBytes = 64 << 10
+
+// newServer builds the daemon's HTTP server around handler.
+func newServer(addr string, handler http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: headerTimeout}
 }
 
 // newMux wires the API routes onto a fresh mux. Split from main so the
@@ -282,9 +297,15 @@ func readiness(m service.Metrics, draining bool) (int, map[string]any) {
 
 func handleSubmit(rt *service.Router, w http.ResponseWriter, r *http.Request) {
 	var spec service.JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+				"error": fmt.Sprintf("job spec exceeds %d bytes", tooBig.Limit),
+			})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job spec: " + err.Error()})
 		return
 	}

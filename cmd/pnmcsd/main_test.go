@@ -8,6 +8,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -467,5 +469,56 @@ func TestTenantQuota429(t *testing.T) {
 	metrics := do(mux, "GET", "/metrics", "").Body.String()
 	if !strings.Contains(metrics, "pnmcs_tenant_shed_total 1") {
 		t.Fatalf("shed not counted:\n%s", metrics)
+	}
+}
+
+// TestSubmitOversizedBody413 pins the POST /v1/jobs body bound: a spec
+// past maxSpecBytes is refused with 413, not buffered, and no job is
+// created for it.
+func TestSubmitOversizedBody413(t *testing.T) {
+	mux := newTestServer(t, service.Config{Slots: 1, Medians: 1, Clients: 1})
+	body := `{"domain":"sudoku","box":2,"level":2,"seed":1,"tenant":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	rec := do(mux, "POST", "/v1/jobs", body)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: %d, want 413\n%s", rec.Code, rec.Body.String())
+	}
+	// A spec under the bound is still served, as the first job.
+	rec = do(mux, "POST", "/v1/jobs", `{"domain":"sudoku","box":2,"level":2,"seed":1}`)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("small submit: %d\n%s", rec.Code, rec.Body.String())
+	}
+	if id := decodeStatus(t, rec).ID; id != "job-1" {
+		t.Fatalf("first accepted job is %q, want job-1: the oversized submit created a job", id)
+	}
+}
+
+// TestSlowHeadersTimeOut pins the daemon server's header deadline: a
+// connection that never finishes its request headers is closed once the
+// deadline passes instead of being held open.
+func TestSlowHeadersTimeOut(t *testing.T) {
+	if readHeaderTimeout <= 0 {
+		t.Fatalf("readHeaderTimeout %v: slow headers would hold connections forever", readHeaderTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer("", http.NotFoundHandler(), 100*time.Millisecond)
+	go srv.Serve(ln) //nolint:errcheck // ends with ErrServerClosed
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: pnmcsd\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // best effort
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection with unfinished headers still open after %v", time.Since(start))
 	}
 }

@@ -47,8 +47,11 @@ import (
 // the evaluator name, new evaluation batch request/reply payloads);
 // 4 = async-root wire changes (candidates and scores gained the branch
 // discriminator Par, job params gained Speculate, new speculation-cancel
-// payload, worker blob gained the pool speculation default).
-const Version = 4
+// payload, worker blob gained the pool speculation default); 5 = chunked
+// pool rollouts (svcJob carries a median step's parent position, its
+// coordinates and a chunk of candidate moves; svcResult carries one score
+// per chunk move).
+const Version = 5
 
 // MaxFrame bounds the body length a reader will accept. A corrupt or
 // hostile length prefix must not make a worker allocate gigabytes; the

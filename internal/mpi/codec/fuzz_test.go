@@ -25,9 +25,11 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with a couple of well-formed frames and classic corruptions;
 	// the committed corpus in testdata/fuzz adds control (ping/pong/bye),
-	// fault-protocol (ranks-lost, regrant, keyed-result) and evaluator
-	// (batch request/reply, eval-carrying job params) frames — the
-	// pre-evaluator seeds are stamped v2 and pin version rejection.
+	// fault-protocol (ranks-lost, regrant, keyed-result), evaluator
+	// (batch request/reply, eval-carrying job params) and chunked-rollout
+	// (svc_job_chunk: a median step's parent position with its move chunk;
+	// svc_result_chunk: one score per move) frames — seeds stamped with an
+	// older version pin version rejection.
 	for _, fr := range []codec.Frame{
 		{From: 0, To: 1, Tag: 2, Payload: nil},
 		{From: -2, To: 3, Tag: 64, Payload: uint64(99)},

@@ -166,3 +166,30 @@ func BenchmarkBatchedRollout(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPoolFirstMove measures whole first-move jobs on a persistent
+// pool of the repository benchmark's shape (1 slot, 2 medians, 2
+// clients), built outside the timer: the pool's chunked median→client
+// protocol on real goroutines, Morpion 5D at level 2. ns/op is one job's
+// latency; allocs/op counts the protocol's messages and buffers on top of
+// the domain's own allocations.
+func BenchmarkPoolFirstMove(b *testing.B) {
+	b.Run("5D", func(b *testing.B) {
+		pool, err := NewPool(PoolConfig{Slots: 1, Medians: 2, Clients: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer pool.Shutdown()
+		cfg := Config{
+			Level: 2, Root: morpion.New(morpion.Var5D),
+			Seed: 3, Memorize: true, FirstMoveOnly: true,
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := pool.RunJob(0, cfg, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -47,6 +47,7 @@ package parallel
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,14 +121,45 @@ type svcCandidate struct {
 	State game.State
 }
 
-// svcJob is the median→client payload: a position to roll out and the
-// parameters of the job it belongs to.
+// svcJob is the median→client payload: one chunk of a median step (see
+// stepChunks). State is the step's parent position, shared by every chunk
+// of the step and only ever copied by the client; Moves are the chunk's
+// candidate moves, the First-th to the (First+len(Moves)−1)-th of the
+// step. The client rolls out each move from its own copy of State under
+// the rng key rng.Fold(Step, Cand, T, First+j) — the key the per-run
+// median derives for the same candidate, so every score is bit-identical
+// to a one-rollout-per-message run.
 type svcJob struct {
-	Key   uint64
-	Seq   int
+	Step  int // root step of the game's granted candidate
+	Cand  int // root candidate index of the granted candidate
+	T     int // median step within the level-(ℓ−1) game
+	First int // step candidate index of Moves[0]
 	Par   int // branch discriminator of the owning game (see resultKey)
 	P     jobParams
+	Moves []game.Move
 	State game.State
+}
+
+// rolloutKey is the rng stream key of the j-th candidate rollout of the
+// median step t of the game playing root candidate (step, cand).
+func rolloutKey(step, cand, t, j int) uint64 {
+	return rng.Fold(uint64(step), uint64(cand), uint64(t), uint64(j))
+}
+
+// stepChunks is the number of client jobs a median step with n candidate
+// moves is split into: ceil(clients/medians), capped at n. With every
+// median mid-step that is enough chunks to keep every client busy, and
+// each chunk pays one dispatcher round trip and one position transfer
+// for all of its rollouts. It depends on the pool shape alone, never on
+// timing or liveness, so it changes no score.
+func stepChunks(n, medians, clients int) int {
+	return min(n, (clients+medians-1)/medians)
+}
+
+// chunkBounds returns the candidate range [lo, hi) of chunk i of k over a
+// step of n candidates: k near-equal contiguous slices, in move order.
+func chunkBounds(n, k, i int) (lo, hi int) {
+	return i * n / k, (i + 1) * n / k
 }
 
 // svcScore is the median→slot result: the final score of the Cand-th
@@ -154,37 +186,39 @@ type svcScore struct {
 	Units    int64 // metered work units across those rollouts
 }
 
-// svcResult is the client→median rollout result: the score of the Seq-th
-// candidate of the median's current step and the rollout's metered work.
-// Key is the job's identity echo (resultKey: the rng key folded with the
-// owning job's slot, epoch and branch discriminator) — the median uses it
-// to reject stale results: under worker churn a lost job may be both
-// re-issued and (via the rejoin pending-queue flush) computed by the dead
-// client's replacement, and the duplicate — or a result surviving from an
-// earlier step, from another job at the same logical coordinates, or from
-// a cancelled speculative branch's aborted game — must never be mistaken
-// for a live one.
+// svcResult is the client→median chunk result: Scores[j] is the score of
+// the (Seq+j)-th candidate of the median's current step (Seq echoes the
+// chunk's svcJob.First) and Units the metered work summed over the
+// chunk's rollouts. Key is the chunk's identity echo (resultKey over the
+// first rollout's rng key, folded with the owning job's slot, epoch and
+// branch discriminator) — the median uses it to reject stale results:
+// under worker churn a lost chunk may be both re-issued and (via the
+// rejoin pending-queue flush) computed by the dead client's replacement,
+// and the duplicate — or a result surviving from an earlier step, from
+// another job at the same logical coordinates, or from a cancelled
+// speculative branch's aborted game — must never be mistaken for a live
+// one.
 type svcResult struct {
-	Key   uint64
-	Seq   int
-	Score float64
-	Units int64
+	Key    uint64
+	Seq    int
+	Scores []float64
+	Units  int64
 }
 
-// resultKey folds a rollout's rng key with its job's identity. The rng
-// key alone is unique only within one job's coordinate grid (step,
-// candidate, median step, median candidate); folding slot and epoch in
-// distinguishes same-coordinate rollouts of different jobs, and folding
-// the branch discriminator par distinguishes a speculative branch's game
-// from the real game at the same coordinates — a cancelled loser branch
-// (same Step and Cand, different Par) aborts mid-play with rollouts still
-// on clients, and a stale result must not be mistaken for the real game's
-// rollout under the identical rng key (it was computed from a different
-// position, so accepting it corrupts the score and the work accounting).
-// Par is NOT part of the rng key itself: the winning branch must draw the
-// exact rollout streams the synchronous root would, so only the identity
-// echo discriminates. Computed independently by the issuing median and
-// the executing client from fields that travel in svcJob.
+// resultKey folds a chunk's first rollout rng key with its job's
+// identity. The rng key alone is unique only within one job's coordinate
+// grid (step, candidate, median step, median candidate); folding slot and
+// epoch in distinguishes same-coordinate chunks of different jobs, and
+// folding the branch discriminator par distinguishes a speculative
+// branch's game from the real game at the same coordinates — a cancelled
+// loser branch (same Step and Cand, different Par) aborts mid-play with
+// chunks still on clients, and a stale result must not be mistaken for
+// the real game's chunk under the identical rng key (it was computed from
+// a different position, so accepting it corrupts the score and the work
+// accounting). Par is NOT part of the rng key itself: the winning branch
+// must draw the exact rollout streams the synchronous root would, so only
+// the identity echo discriminates. Computed independently by the issuing
+// median and the executing client from fields that travel in svcJob.
 func resultKey(p jobParams, par int, rngKey uint64) uint64 {
 	return rng.Fold(uint64(p.Slot), p.Epoch, rngKey, uint64(par+1))
 }
@@ -2069,36 +2103,37 @@ func (mc *medianComm) recv() mpi.Msg {
 
 // runPoolMedian is the persistent form of the per-run median process:
 // pull a candidate from the shared scheduler, play its full level-(ℓ−1)
-// game with one client rollout per candidate move, report the score to
-// the owning slot, repeat. One work request is kept in flight while a
-// game is being played (the PR 2 prefetch window at its default of 1), so
-// the next grant travels during computation. The median's StatePool and
-// move buffers persist across jobs and domains.
+// game, report the score to the owning slot, repeat. Each step of the
+// game is split into stepChunks client jobs: a chunk ships the step's
+// parent position once plus its slice of the candidate moves, and costs
+// one dispatcher round trip for all of its rollouts — the per-run path's
+// one-rollout-per-message protocol would pay a round trip and a position
+// copy per candidate. One work request is kept in flight while a game is
+// being played (the PR 2 prefetch window at its default of 1), so the
+// next grant travels during computation. The median's StatePool and move
+// buffers persist across jobs and domains.
 //
 // The body is written against mpi.Comm and the poolWorld layout only, so
 // the identical function runs as a coordinator goroutine (wall pool) or
 // inside a pnmcs-worker process (net pool). idle receives each
 // Recv-blocked interval; a remote worker passes its own sink.
 //
-// Fault tolerance: each in-flight rollout remembers which client it went
-// to; a worker-loss notice (tagRanksLost) re-enqueues the rollouts lost
+// Fault tolerance: each in-flight chunk remembers which client it went
+// to; a worker-loss notice (tagRanksLost) re-enqueues the chunks lost
 // with dead clients, and they are re-requested and re-sent with the same
-// coordinate-derived key — so the replayed score is bit-identical and a
-// late duplicate (the original job flushed to the dead client's
-// replacement) is shed by the key/seq guard. The rollout's rng key also
+// coordinates — so the replayed scores are bit-identical and a late
+// duplicate (the original job flushed to the dead client's replacement)
+// is shed by the key/seq guard. The chunk's identity key also
 // disambiguates steps: only a result echoing the exact key issued for a
-// seq in the current step is accepted, so churn can never smuggle a stale
-// step's score into a later one.
+// chunk start of the current step, with one score per chunk move, is
+// accepted, so churn can never smuggle a stale step's scores into a
+// later one.
 func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 	var pool core.StatePool
 	var moves []game.Move
-	var shipped []game.State
 	var scores []float64
-	var scored []bool    // per-candidate received flag, guards duplicate frames
-	var keys []uint64    // per-candidate rollout rng key (travels in svcJob)
-	var expect []uint64  // per-candidate result identity echo (resultKey)
-	var owner []mpi.Rank // per-candidate client the job was sent to (-1 = none)
-	var sendq []int      // candidate seqs awaiting a client
+	var chunks []stepChunk
+	var sendq []int // chunk indexes awaiting a client
 	mc := &medianComm{c: c, w: w, idle: idle}
 
 	c.Send(w.sched, tagWorkReq, nil)
@@ -2133,33 +2168,29 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 	game:
 		for t := 0; ; t++ {
 			moves = st.LegalMoves(moves[:0])
-			if len(moves) == 0 {
+			n := len(moves)
+			if n == 0 {
 				break
 			}
-			shipped = shipped[:0]
-			scores = scores[:0]
-			scored = scored[:0]
-			keys = keys[:0]
-			expect = expect[:0]
-			owner = owner[:0]
+			// One snapshot of the position per step, read by every chunk's
+			// client; st itself moves on once the step is scored.
+			parent := pool.Get(st)
+			c.Work(core.CloneCost)
+			scores = slices.Grow(scores[:0], n)[:n] // every chunk's result overwrites its slice
+			k := stepChunks(n, w.cfg.Medians, w.cfg.Clients)
+			chunks = chunks[:0]
 			sendq = sendq[:0]
-			for j, mv := range moves {
-				child := pool.Get(st)
-				c.Work(core.CloneCost)
-				child.Play(mv)
-				c.Work(1)
-				shipped = append(shipped, child)
-				scores = append(scores, 0)
-				scored = append(scored, false)
-				key := rng.Fold(uint64(cand.Step), uint64(cand.Cand), uint64(t), uint64(j))
-				keys = append(keys, key)
-				expect = append(expect, resultKey(cand.P, cand.Par, key))
-				owner = append(owner, -1)
-				sendq = append(sendq, j)
+			for i := 0; i < k; i++ {
+				lo, hi := chunkBounds(n, k, i)
+				chunks = append(chunks, stepChunk{
+					lo: lo, hi: hi, owner: -1,
+					expect: resultKey(cand.P, cand.Par, rolloutKey(cand.Step, cand.Cand, t, lo)),
+				})
+				sendq = append(sendq, i)
 			}
 
-			for got := 0; got < len(moves); {
-				// Spend assigned clients on queued rollouts, then keep one
+			for got := 0; got < k; {
+				// Spend assigned clients on queued chunks, then keep one
 				// client request in flight while anything remains unsent.
 				for len(mc.clients) > 0 && len(sendq) > 0 {
 					client := mc.clients[0]
@@ -2172,13 +2203,18 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 						// fetches a live replacement.
 						continue
 					}
-					j := sendq[0]
+					ch := &chunks[sendq[0]]
 					sendq = sendq[:copy(sendq, sendq[1:])]
-					owner[j] = client
-					c.Send(client, tagJob, svcJob{Key: keys[j], Seq: j, Par: cand.Par, P: cand.P, State: shipped[j]})
+					ch.owner = client
+					c.Send(client, tagJob, svcJob{
+						Step: cand.Step, Cand: cand.Cand, T: t, First: ch.lo, Par: cand.Par, P: cand.P,
+						Moves: moves[ch.lo:ch.hi], State: parent,
+					})
 				}
 				if len(sendq) > 0 && mc.reqs == 0 {
-					c.Send(w.disp, tagRequest, shipped[sendq[0]].MovesPlayed())
+					// The Last-Minute key is the chunk's expected rollout
+					// length: every candidate child has played one more move.
+					c.Send(w.disp, tagRequest, st.MovesPlayed()+1)
 					mc.reqs++
 				}
 
@@ -2189,45 +2225,51 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 				if mc.covered(cand) {
 					// The branch this game belongs to just lost its argmax
 					// (or its job ended): abort without scoring. In-flight
-					// rollouts on clients resolve harmlessly — their results
-					// are shed by the next game's key guard — and unscored
-					// shipped states are left to the garbage collector (a
-					// client may still be reading them).
+					// chunks on clients resolve harmlessly — their results
+					// are shed by the next game's key guard. A client may
+					// still be reading the step's parent and move slice, so
+					// both are left to the garbage collector, not reused.
+					moves = nil
 					aborted = true
 					break game
 				}
 				switch msg.Tag {
 				case tagResult:
 					res, ok := msg.Payload.(svcResult)
-					if !ok || !isClientRank(w, msg.From) ||
-						res.Seq < 0 || res.Seq >= len(scores) ||
-						scored[res.Seq] || res.Key != expect[res.Seq] {
-						continue // wrong-typed, forged, stale or duplicated wire frame
+					if !ok || !isClientRank(w, msg.From) {
+						continue // wrong-typed or forged wire frame
 					}
-					scored[res.Seq] = true
-					scores[res.Seq] = res.Score
-					owner[res.Seq] = -1
-					rollouts++
+					i := chunkAt(chunks, res.Seq)
+					if i < 0 || chunks[i].done || res.Key != chunks[i].expect ||
+						len(res.Scores) != chunks[i].hi-chunks[i].lo {
+						continue // stale, duplicated or malformed result
+					}
+					ch := &chunks[i]
+					ch.done = true
+					ch.owner = -1
+					copy(scores[ch.lo:ch.hi], res.Scores)
+					rollouts += int64(len(res.Scores))
 					units += res.Units
-					pool.Put(shipped[res.Seq])
 					got++
 				case tagRanksLost, tagRanksDead:
 					lost, ok := msg.Payload.(svcRanksLost)
 					if !ok || msg.From != mpi.External {
 						continue // forged wire frame: only the pool declares losses
 					}
-					// Re-enqueue every unscored rollout that was sent to a
+					// Re-enqueue every unscored chunk that was sent to a
 					// now-dead (or now-abandoned) client; the loop head
 					// re-requests and re-sends them under their original
-					// keys, so the replayed scores stay bit-identical.
-					for j, cl := range owner {
-						if cl >= lost.Lo && cl < lost.Hi && !scored[j] {
-							owner[j] = -1
-							sendq = append(sendq, j)
+					// coordinates, so the replayed scores stay bit-identical.
+					for i := range chunks {
+						ch := &chunks[i]
+						if ch.owner >= lost.Lo && ch.owner < lost.Hi && !ch.done {
+							ch.owner = -1
+							sendq = append(sendq, i)
 						}
 					}
 				}
 			}
+			pool.Put(parent)
 			st.Play(moves[argmax(scores)])
 			c.Work(1)
 		}
@@ -2241,20 +2283,40 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 	}
 }
 
-// runPoolClient is the persistent rollout worker. Jobs of any domain,
-// level and memorization mix arrive interleaved; the rollout's random
-// stream is reseeded per job from (job seed, logical coordinates), so a
-// given candidate's score is identical no matter which client executes
-// it, in which order, or what ran on this client before — the property
-// the equivalence tests pin against solo RunWall runs on both the wall
-// and net transports. Searchers (one per memorization mode, sharing
-// nothing) and their scratch StatePools persist across jobs. Like
-// runPoolMedian, the body is transport-blind and runs unchanged in the
-// coordinator or in a pnmcs-worker process. tc is the process-shared
-// transposition cache; jobs opt in per job (jb.P.Cache), and because a
-// cached job's sub-searches draw from position-derived rng streams the
-// cache is shared across jobs and clients without coupling their results
-// to each other's hit patterns.
+// stepChunk is a median's bookkeeping for one chunk of its current step.
+type stepChunk struct {
+	lo, hi int      // candidate range [lo, hi) of the step
+	expect uint64   // result identity echo (resultKey of the chunk's first rollout)
+	owner  mpi.Rank // client the chunk was sent to (−1 = none)
+	done   bool     // scored; guards duplicate results
+}
+
+// chunkAt returns the index of the chunk starting at candidate seq, or −1
+// when seq is no chunk start of the step.
+func chunkAt(chunks []stepChunk, seq int) int {
+	for i := range chunks {
+		if chunks[i].lo == seq {
+			return i
+		}
+	}
+	return -1
+}
+
+// runPoolClient is the persistent rollout worker. Chunks of any domain,
+// level and memorization mix arrive interleaved; each rollout's random
+// stream is reseeded from (job seed, logical coordinates), so a given
+// candidate's score is identical no matter which client executes it, in
+// which chunk, in which order, or what ran on this client before — the
+// property the equivalence tests pin against solo RunWall runs on both
+// the wall and net transports. Searchers (one per memorization mode,
+// sharing nothing), their scratch StatePools and the client's own pool of
+// rollout positions persist across jobs. Like runPoolMedian, the body is
+// transport-blind and runs unchanged in the coordinator or in a
+// pnmcs-worker process. tc is the process-shared transposition cache;
+// jobs opt in per job (jb.P.Cache), and because a cached job's
+// sub-searches draw from position-derived rng streams the cache is shared
+// across jobs and clients without coupling their results to each other's
+// hit patterns.
 func runPoolClient(c mpi.Comm, w *poolWorld, batch *evalBatcher, tc *cache.Cache, cacheVerify bool, idle func(time.Duration)) {
 	meter := &unitMeter{}
 	searchers := map[bool]*core.Searcher{}
@@ -2266,6 +2328,8 @@ func runPoolClient(c mpi.Comm, w *poolWorld, batch *evalBatcher, tc *cache.Cache
 		}
 		return s
 	}
+	var pool core.StatePool
+	var legal []game.Move
 
 	for {
 		t0 := c.Now()
@@ -2279,7 +2343,21 @@ func runPoolClient(c mpi.Comm, w *poolWorld, batch *evalBatcher, tc *cache.Cache
 			return
 		case tagJob:
 			jb, ok := msg.Payload.(svcJob)
-			if !ok || !isMedianRank(w, msg.From) || jb.State == nil || jb.P.Level < 2 {
+			ok = ok && isMedianRank(w, msg.From) && jb.State != nil && jb.P.Level >= 2 && len(jb.Moves) > 0
+			// The parent is shared with every other chunk of the step (on
+			// in-process transports, by pointer), and domain states keep
+			// scratch fields that even LegalMoves writes: it is only ever
+			// read through copies.
+			var base game.State
+			if ok {
+				base = pool.Get(jb.State)
+				legal = base.LegalMoves(legal[:0])
+				if !allLegal(jb.Moves, legal) {
+					pool.Put(base)
+					ok = false
+				}
+			}
+			if !ok {
 				// Wrong-typed or degenerate wire frame. Still announce
 				// availability: the dispatcher must not lose this client
 				// from its free list over a frame the client refused.
@@ -2300,21 +2378,46 @@ func runPoolClient(c mpi.Comm, w *poolWorld, batch *evalBatcher, tc *cache.Cache
 			} else {
 				s.SetEvaluator(nil)
 			}
-			s.Reseed(jb.P.Seed, jb.Key)
-			var res core.Result
 			if jb.P.Cache {
 				s.SetCache(tc, cache.Scope(jb.P.Eval, jb.P.Memorize, 0), cacheVerify)
-				res = s.NestedCached(jb.State, jb.P.Level-2)
-				s.SetCache(nil, 0, false)
-			} else {
-				res = s.Nested(jb.State, jb.P.Level-2)
 			}
+			scores := make([]float64, len(jb.Moves))
+			for j, mv := range jb.Moves {
+				child := pool.Get(base)
+				child.Play(mv)
+				s.Reseed(jb.P.Seed, rolloutKey(jb.Step, jb.Cand, jb.T, jb.First+j))
+				if jb.P.Cache {
+					scores[j] = s.NestedCached(child, jb.P.Level-2).Score
+				} else {
+					scores[j] = s.Nested(child, jb.P.Level-2).Score
+				}
+				pool.Put(child)
+			}
+			if jb.P.Cache {
+				s.SetCache(nil, 0, false)
+			}
+			pool.Put(base)
 			c.Work(meter.units * jb.P.JobScale)
 
 			c.Send(w.disp, tagFree, nil)
 			c.Send(median, tagResult, svcResult{
-				Key: resultKey(jb.P, jb.Par, jb.Key), Seq: jb.Seq, Score: res.Score, Units: meter.units,
+				Key:    resultKey(jb.P, jb.Par, rolloutKey(jb.Step, jb.Cand, jb.T, jb.First)),
+				Seq:    jb.First,
+				Scores: scores,
+				Units:  meter.units,
 			})
 		}
 	}
+}
+
+// allLegal reports whether every move of a chunk is one of the parent
+// position's legal moves: a wire frame is remote-controlled, and playing
+// an illegal move would corrupt (or crash) the client's rollout position.
+func allLegal(moves, legal []game.Move) bool {
+	for _, mv := range moves {
+		if !slices.Contains(legal, mv) {
+			return false
+		}
+	}
+	return true
 }

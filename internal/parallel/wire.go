@@ -208,21 +208,27 @@ func init() {
 
 	codec.Register(kindSvcJob,
 		func(buf []byte, v svcJob) ([]byte, error) {
-			buf = binary.LittleEndian.AppendUint64(buf, v.Key)
-			buf = binary.AppendUvarint(buf, uint64(v.Seq))
+			buf = binary.AppendUvarint(buf, uint64(v.Step))
+			buf = binary.AppendUvarint(buf, uint64(v.Cand))
+			buf = binary.AppendUvarint(buf, uint64(v.T))
+			buf = binary.AppendUvarint(buf, uint64(v.First))
 			buf = appendPar(buf, v.Par)
 			buf = appendJobParams(buf, v.P)
+			buf = binary.AppendUvarint(buf, uint64(len(v.Moves)))
+			for _, m := range v.Moves {
+				buf = binary.AppendUvarint(buf, uint64(m))
+			}
 			return codec.EncodeState(buf, v.State)
 		},
 		func(data []byte) (svcJob, error) {
 			var j svcJob
-			if len(data) < 8 {
-				return j, fmt.Errorf("%w: svcJob key", codec.ErrTruncated)
-			}
-			key := binary.LittleEndian.Uint64(data)
-			seq, data, err := codec.ReadUvarint(data[8:])
-			if err != nil {
-				return j, err
+			var coords [4]uint64 // Step, Cand, T, First
+			for i := range coords {
+				v, rest, err := codec.ReadUvarint(data)
+				if err != nil {
+					return j, err
+				}
+				coords[i], data = v, rest
 			}
 			par, data, err := readPar(data)
 			if err != nil {
@@ -232,11 +238,29 @@ func init() {
 			if err != nil {
 				return j, err
 			}
+			n, data, err := codec.ReadUvarint(data)
+			if err != nil {
+				return j, err
+			}
+			if n > uint64(len(data)) { // each move is at least one byte
+				return j, fmt.Errorf("%w: svcJob %d moves in %d bytes", codec.ErrMalformed, n, len(data))
+			}
+			moves := make([]game.Move, n)
+			for i := range moves {
+				m, rest, err := codec.ReadUvarint(data)
+				if err != nil {
+					return j, err
+				}
+				moves[i], data = game.Move(m), rest
+			}
 			st, err := codec.DecodeState(data)
 			if err != nil {
 				return j, err
 			}
-			return svcJob{Key: key, Seq: int(seq), Par: par, P: p, State: st}, nil
+			return svcJob{
+				Step: int(coords[0]), Cand: int(coords[1]), T: int(coords[2]), First: int(coords[3]),
+				Par: par, P: p, Moves: moves, State: st,
+			}, nil
 		})
 
 	codec.Register(kindSvcScore,
@@ -293,7 +317,10 @@ func init() {
 		func(buf []byte, v svcResult) ([]byte, error) {
 			buf = binary.LittleEndian.AppendUint64(buf, v.Key)
 			buf = binary.AppendUvarint(buf, uint64(v.Seq))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Score))
+			buf = binary.AppendUvarint(buf, uint64(len(v.Scores)))
+			for _, x := range v.Scores {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+			}
 			return binary.AppendUvarint(buf, uint64(v.Units)), nil
 		},
 		func(data []byte) (svcResult, error) {
@@ -307,11 +334,18 @@ func init() {
 				return r, err
 			}
 			r.Seq = int(seq)
-			if len(data) < 8 {
-				return r, fmt.Errorf("%w: svcResult score", codec.ErrTruncated)
+			n, data, err := codec.ReadUvarint(data)
+			if err != nil {
+				return r, err
 			}
-			r.Score = math.Float64frombits(binary.LittleEndian.Uint64(data))
-			units, data, err := codec.ReadUvarint(data[8:])
+			if n > uint64(len(data))/8 {
+				return r, fmt.Errorf("%w: svcResult %d scores in %d bytes", codec.ErrTruncated, n, len(data))
+			}
+			r.Scores = make([]float64, n)
+			for i := range r.Scores {
+				r.Scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			}
+			units, data, err := codec.ReadUvarint(data[8*n:])
 			if err != nil {
 				return r, err
 			}

@@ -5,7 +5,10 @@ package parallel
 // testing/quick-generated field values, plus the worker handshake blob.
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -89,11 +92,18 @@ func TestScalarPayloadRoundTrips(t *testing.T) {
 			v := svcSpecCancel{Slot: nonneg(slot), Epoch: epoch, Step: par(step), Keep: par(keep)}
 			return payloadTrip(t, v).(svcSpecCancel) == v
 		},
-		"svcResult": func(key uint64, seq int, score float64, units int64) bool {
-			v := svcResult{Key: key, Seq: nonneg(seq), Score: score, Units: int64(nonneg(int(units % (1 << 40))))}
+		"svcResult": func(key uint64, seq int, scores []float64, units int64) bool {
+			v := svcResult{Key: key, Seq: nonneg(seq), Scores: scores, Units: int64(nonneg(int(units % (1 << 40))))}
 			got := payloadTrip(t, v).(svcResult)
-			return got.Key == v.Key && got.Seq == v.Seq && got.Units == v.Units &&
-				math.Float64bits(got.Score) == math.Float64bits(v.Score)
+			if got.Key != v.Key || got.Seq != v.Seq || got.Units != v.Units || len(got.Scores) != len(v.Scores) {
+				return false
+			}
+			for i := range v.Scores {
+				if math.Float64bits(got.Scores[i]) != math.Float64bits(v.Scores[i]) {
+					return false
+				}
+			}
+			return true
 		},
 		"svcAbandonAck": func(epoch uint64, dropped int) bool {
 			v := svcAbandonAck{Epoch: epoch, Dropped: nonneg(dropped)}
@@ -151,16 +161,67 @@ func TestStateCarryingPayloadRoundTrips(t *testing.T) {
 		t.Errorf("svcCandidate: %v", err)
 	}
 
-	if err := quick.Check(func(key uint64, seq, p int, slot int, epoch uint64, level int, seed uint64, mem bool, scale int64, root int) bool {
+	if err := quick.Check(func(step, candIdx, tt, first, p int, moves []uint16, slot int, epoch uint64, level int, seed uint64, mem bool, scale int64, root int) bool {
 		v := svcJob{
-			Key: key, Seq: nonneg(seq), Par: par(p),
+			Step: nonneg(step), Cand: nonneg(candIdx), T: nonneg(tt), First: nonneg(first), Par: par(p),
 			P:     quickParams(slot, epoch, level, seed, mem, scale, root),
 			State: st,
 		}
+		for _, m := range moves {
+			v.Moves = append(v.Moves, game.Move(m))
+		}
 		g := payloadTrip(t, v).(svcJob)
-		return g.Key == v.Key && g.Seq == v.Seq && g.Par == v.Par && g.P == v.P && g.State.MovesPlayed() == 2
+		return g.Step == v.Step && g.Cand == v.Cand && g.T == v.T && g.First == v.First &&
+			g.Par == v.Par && g.P == v.P && slices.Equal(g.Moves, v.Moves) && g.State.MovesPlayed() == 2
 	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Errorf("svcJob: %v", err)
+	}
+}
+
+// TestChunkPayloadCountLimits pins the remote-controlled-count guards of
+// the chunk frames: a move or score count larger than the bytes left in
+// the frame is rejected before anything is allocated for it, and a
+// truncated chunk never decodes.
+func TestChunkPayloadCountLimits(t *testing.T) {
+	st := game.NewArmTree(3, 4, 9)
+	jb, err := codec.EncodePayload(nil, svcJob{First: 1, Par: -1, P: jobParams{Level: 2}, Moves: []game.Move{0, 2}, State: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := codec.EncodePayload(nil, svcResult{Key: 7, Seq: 1, Scores: []float64{0.5, 1}, Units: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, buf := range map[string][]byte{"svcJob": jb, "svcResult": res} {
+		for cut := 0; cut < len(buf); cut++ {
+			if _, err := codec.DecodePayload(buf[:cut]); err == nil {
+				t.Fatalf("%s truncated to %d of %d bytes decoded", name, cut, len(buf))
+			}
+		}
+	}
+
+	// A result claiming 2^40 scores in a 9-byte tail.
+	lying := binary.LittleEndian.AppendUint16(nil, uint16(kindSvcResult))
+	lying = binary.LittleEndian.AppendUint64(lying, 7)
+	lying = binary.AppendUvarint(lying, 1)
+	lying = binary.AppendUvarint(lying, 1<<40)
+	lying = append(lying, make([]byte, 9)...)
+	if _, err := codec.DecodePayload(lying); !errors.Is(err, codec.ErrTruncated) {
+		t.Fatalf("lying score count: got %v, want ErrTruncated", err)
+	}
+
+	// A job claiming 2^40 moves ahead of a short state.
+	lying = binary.LittleEndian.AppendUint16(nil, uint16(kindSvcJob))
+	lying = append(lying, 0, 0, 0, 1) // Step, Cand, T, First
+	lying = appendPar(lying, -1)
+	lying = appendJobParams(lying, jobParams{Level: 2})
+	lying = binary.AppendUvarint(lying, 1<<40)
+	lying, err = codec.EncodeState(lying, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := codec.DecodePayload(lying); !errors.Is(err, codec.ErrMalformed) {
+		t.Fatalf("lying move count: got %v, want ErrMalformed", err)
 	}
 }
 

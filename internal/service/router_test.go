@@ -499,3 +499,36 @@ func TestRouterConcurrentMixedStorm(t *testing.T) {
 		t.Fatal("storm completed nothing; no equivalence checked")
 	}
 }
+
+// TestWallTimestampsNotAhead pins the epoch anchoring: with the default
+// wall clock, a job's Submitted stamp is never later than time.Now()
+// read right after Submit returns, on every pool of a Router — the clock
+// origin is taken before the pools are built, and each pool's epoch must
+// absorb its build time instead of adding it to every timestamp.
+func TestWallTimestampsNotAhead(t *testing.T) {
+	r := newTestRouter(t, Config{Pools: 3, Slots: 1, Medians: 1, Clients: 1, QueueLimit: 4})
+	seen := map[int]bool{}
+	for i := 0; i < 6; i++ {
+		id, err := r.Submit(context.Background(), tinySpec(uint64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := time.Now()
+		st, err := r.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Submitted.After(now) {
+			t.Fatalf("job %s submitted at %v, %v after the time Submit returned",
+				id, st.Submitted, st.Submitted.Sub(now))
+		}
+		for p := 0; p < r.Pools(); p++ {
+			if _, err := r.Pool(p).Get(id); err == nil {
+				seen[p] = true
+			}
+		}
+	}
+	if len(seen) < 2 {
+		t.Fatalf("submissions landed on pools %v only; the check needs several pools", seen)
+	}
+}

@@ -462,11 +462,16 @@ func newManager(cfg Config, idStart, idStride int64) (*Manager, error) {
 	if seedBase == 0 {
 		seedBase = startupSeed()
 	}
+	// Anchor the epoch so that epoch + clock.Now() is time.Now() at this
+	// instant: a wall clock's origin was taken in withDefaults, before the
+	// pool was built, and an unanchored epoch would stamp every JobStatus
+	// ahead of real time by the pool's build time.
+	epoch := time.Now().Add(-cfg.Clock.Now())
 	m := &Manager{
 		cfg:      cfg,
 		pool:     pool,
 		clock:    cfg.Clock,
-		epoch:    time.Now(),
+		epoch:    epoch,
 		jobs:     make(map[string]*job),
 		drained:  make(chan struct{}),
 		nextID:   idStart - idStride,
