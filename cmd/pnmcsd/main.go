@@ -400,8 +400,12 @@ func writeRouterMetrics(w http.ResponseWriter, rm service.RouterMetrics) {
 // shard-level series on top).
 func metricsText(m service.Metrics) string {
 	var b strings.Builder
+	header := func(name, typ, help string) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	}
 	emit := func(name, typ, help string, v any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, v)
+		header(name, typ, help)
+		fmt.Fprintf(&b, "%s %v\n", name, v)
 	}
 	emit("pnmcs_jobs_submitted_total", "counter", "jobs accepted by Submit", m.Submitted)
 	emit("pnmcs_jobs_rejected_total", "counter", "submissions shed with 503 (queue full)", m.Rejected)
@@ -412,7 +416,7 @@ func metricsText(m service.Metrics) string {
 	emit("pnmcs_jobs_running", "gauge", "jobs on a slot now", m.Running)
 	emit("pnmcs_jobs_queued", "gauge", "jobs waiting for a slot", m.Queued)
 	emit("pnmcs_slots", "gauge", "concurrent job capacity", m.Slots)
-	emit("pnmcs_pool_rollouts_total", "counter", "client rollouts executed", m.Pool.Jobs)
+	emit("pnmcs_pool_rollouts_total", "counter", "candidate rollouts executed, by clients or in place by medians", m.Pool.Jobs)
 	emit("pnmcs_pool_work_units_total", "counter", "metered rollout work units", m.Pool.WorkUnits)
 	emit("pnmcs_pool_queue_depth_max", "gauge", "peak scheduler ready-queue depth", m.Pool.QueueDepthMax)
 	emit("pnmcs_pool_queue_depth_mean", "gauge", "mean scheduler ready-queue depth", m.Pool.QueueDepthMean)
@@ -438,9 +442,11 @@ func metricsText(m service.Metrics) string {
 	// Per-rank idle series: co-resident workers account directly, remote
 	// workers push theirs on every heartbeat pong and on the goodbye
 	// frame, so the series exist on every transport.
+	header("pnmcs_pool_median_idle_seconds", "counter", "cumulative time each median spent waiting for a message")
 	for i, d := range m.Pool.MedianIdle {
 		fmt.Fprintf(&b, "pnmcs_pool_median_idle_seconds{median=\"%d\"} %g\n", i, d.Seconds())
 	}
+	header("pnmcs_pool_client_idle_seconds", "counter", "cumulative time each client spent waiting for a message")
 	for i, d := range m.Pool.ClientIdle {
 		fmt.Fprintf(&b, "pnmcs_pool_client_idle_seconds{client=\"%d\"} %g\n", i, d.Seconds())
 	}

@@ -342,6 +342,45 @@ func TestMetricsTransportCounters(t *testing.T) {
 	}
 }
 
+// TestMetricsEverySampleDescribed pins the exposition format: every
+// sample line's metric name has its own # HELP and # TYPE lines, on a
+// live multi-pool daemon's /metrics and on a networked pool's snapshot
+// (whose transport and churn series only exist there).
+func TestMetricsEverySampleDescribed(t *testing.T) {
+	mux := newTestServer(t, service.Config{Pools: 2, Slots: 1, Medians: 2, Clients: 2})
+	rec := httptest.NewRecorder()
+	writeMetrics(rec, service.Metrics{
+		Slots: 1,
+		Pool: parallel.PoolMetrics{
+			MedianIdle: []time.Duration{time.Second},
+			ClientIdle: []time.Duration{time.Second},
+			Net:        &mpi.NetStats{Workers: 1},
+		},
+	})
+	for name, body := range map[string]string{
+		"router": do(mux, "GET", "/metrics", "").Body.String(),
+		"net":    rec.Body.String(),
+	} {
+		described := map[string]int{}
+		samples := 0
+		for _, line := range strings.Split(body, "\n") {
+			switch f := strings.Fields(line); {
+			case len(f) >= 3 && f[0] == "#" && (f[1] == "HELP" || f[1] == "TYPE"):
+				described[f[2]] |= map[string]int{"HELP": 1, "TYPE": 2}[f[1]]
+			case len(f) >= 2:
+				samples++
+				metric, _, _ := strings.Cut(f[0], "{")
+				if described[metric] != 3 {
+					t.Fatalf("%s: sample %q has no # HELP and # TYPE lines before it:\n%s", name, line, body)
+				}
+			}
+		}
+		if samples == 0 {
+			t.Fatalf("%s: no samples:\n%s", name, body)
+		}
+	}
+}
+
 // TestEventsStreamToTerminal drives GET /v1/jobs/{id}/events: one JSON
 // status per line, flushed as produced, ending with the terminal
 // snapshot. The recorder path exercises the same handler the chunked

@@ -155,6 +155,7 @@ type Searcher struct {
 
 	movebuf []game.Move // shared scratch for move lists at sample level
 	levels  []levelBuf  // per-recursion-level scratch
+	seq     []game.Move // Score's reused top-level sequence
 
 	// eval guides level-0 playouts (see Options.Evaluator); wbuf is its
 	// reusable weight scratch. eval starts as Options.Evaluator and can be
@@ -184,7 +185,8 @@ type Searcher struct {
 type levelBuf struct {
 	moves   []game.Move // candidate move list
 	scratch []game.Move // suffix of the candidate being evaluated
-	best    []game.Move // memorized best suffix
+	best    []game.Move // memorized best sequence
+	next    int         // index in best of the next move to replay
 }
 
 // NewSearcher returns a Searcher drawing randomness from r.
@@ -343,6 +345,39 @@ func (s *Searcher) pickWeightedDerived() int {
 // each candidate is evaluated on a clone. Both paths return bit-identical
 // results for the same random stream.
 func (s *Searcher) Nested(st game.State, level int) Result {
+	var seq []game.Move
+	score := s.search(st, level, false, &seq)
+	return Result{Score: score, Sequence: seq}
+}
+
+// NestedCached is Nested with the WHOLE call treated as a cache boundary:
+// the result is keyed by (scope, st's position hash, level) and shared
+// with any other job or worker that searches an identical position. The
+// pool's client ranks use it for their per-job rollouts, which is what
+// makes the cache cross-job — a position re-searched by a different job
+// (under a different seed) hits, because derived mode ignores the job seed
+// entirely. Equals Nested when no cache is attached or the domain does not
+// hash.
+func (s *Searcher) NestedCached(st game.State, level int) Result {
+	var seq []game.Move
+	score := s.search(st, level, true, &seq)
+	return Result{Score: score, Sequence: seq}
+}
+
+// Score is NestedCached(st, level).Score without the sequence: the played
+// moves go to a buffer the searcher reuses, so a warmed searcher scores a
+// rollout without allocating. Rollout workers call it, since only the
+// score travels back to the caller.
+func (s *Searcher) Score(st game.State, level int) float64 {
+	s.seq = s.seq[:0]
+	return s.search(st, level, true, &s.seq)
+}
+
+// search is the entry of Nested, NestedCached and Score: it picks the
+// traversal (undo or clone) and the mode (derived when a cache is attached
+// and st hashes) for the top-level call, then searches, appending the
+// played moves to out. boundary makes the whole call a cache boundary.
+func (s *Searcher) search(st game.State, level int, boundary bool, out *[]game.Move) float64 {
 	if level < 0 {
 		panic(fmt.Sprintf("core: negative nesting level %d", level))
 	}
@@ -354,40 +389,12 @@ func (s *Searcher) Nested(st game.State, level int) Result {
 		if _, ok := st.(game.Hasher); ok {
 			s.derived = true
 			defer func() { s.derived = false }()
+			if boundary {
+				return s.subEval(st, level, out)
+			}
 		}
 	}
-	var seq []game.Move
-	score := s.nested(st, level, &seq)
-	return Result{Score: score, Sequence: seq}
-}
-
-// NestedCached is Nested with the WHOLE call treated as a cache boundary:
-// the result is keyed by (scope, st's position hash, level) and shared
-// with any other job or worker that searches an identical position. The
-// pool's client ranks use it for their per-job rollouts, which is what
-// makes the cache cross-job — a position re-searched by a different job
-// (under a different seed) hits, because derived mode ignores the job seed
-// entirely. Falls back to Nested when no cache is attached or the domain
-// does not hash.
-func (s *Searcher) NestedCached(st game.State, level int) Result {
-	if level < 0 {
-		panic(fmt.Sprintf("core: negative nesting level %d", level))
-	}
-	if s.cache == nil {
-		return s.Nested(st, level)
-	}
-	if _, ok := st.(game.Hasher); !ok {
-		return s.Nested(st, level)
-	}
-	if u, ok := st.(game.Undoer); ok && !s.opt.NoUndo {
-		s.undo = u
-		defer func() { s.undo = nil }()
-	}
-	s.derived = true
-	defer func() { s.derived = false }()
-	var seq []game.Move
-	score := s.subEval(st, level, &seq)
-	return Result{Score: score, Sequence: seq}
+	return s.nested(st, level, out)
 }
 
 // cloneFor returns a state equal to st for candidate evaluation on the
@@ -412,11 +419,13 @@ func (s *Searcher) nested(st game.State, level int, out *[]game.Move) float64 {
 	lb := &s.levels[level]
 
 	// Memorized best game (paper lines 1, 7–9): bestScore is the score of
-	// the best terminal sequence seen at this level, lb.best the not yet
-	// replayed suffix of that sequence (its head is the next move to play).
+	// the best terminal sequence seen at this level, lb.best[lb.next:] the
+	// not yet replayed suffix of that sequence (its head is the next move
+	// to play). Replay advances lb.next rather than reslicing lb.best, so
+	// the buffer keeps its capacity for the next search at this level.
 	bestScore := 0.0
 	haveBest := false
-	lb.best = lb.best[:0]
+	lb.best, lb.next = lb.best[:0], 0
 
 	for {
 		lb.moves = st.LegalMoves(lb.moves[:0])
@@ -487,6 +496,7 @@ func (s *Searcher) nested(st game.State, level int, out *[]game.Move) float64 {
 				bestThisStep = true
 				lb.best = append(lb.best[:0], m)
 				lb.best = append(lb.best, lb.scratch...)
+				lb.next = 0
 			}
 		}
 
@@ -494,9 +504,9 @@ func (s *Searcher) nested(st game.State, level int, out *[]game.Move) float64 {
 		// reflexive mode (no memory, Cazenave 2007) play this step's argmax
 		// move instead, even if an earlier sequence scored higher.
 		var mv game.Move
-		if s.opt.Memorize && haveBest && len(lb.best) > 0 {
-			mv = lb.best[0]
-			lb.best = lb.best[1:]
+		if s.opt.Memorize && haveBest && lb.next < len(lb.best) {
+			mv = lb.best[lb.next]
+			lb.next++
 		} else {
 			mv = stepMove
 		}
@@ -594,13 +604,13 @@ func (s *Searcher) verifyHit(st game.State, key cache.Key, base, gain float64, s
 // finishCancelled completes the game after a Stop signal: it replays the
 // memorized best suffix if one exists, then samples to the end.
 func (s *Searcher) finishCancelled(st game.State, lb *levelBuf, out *[]game.Move) float64 {
-	for _, m := range lb.best {
+	for _, m := range lb.best[lb.next:] {
 		st.Play(m)
 		s.meter.Add(1)
 		s.stats.Steps++
 		*out = append(*out, m)
 	}
-	lb.best = lb.best[:0]
+	lb.best, lb.next = lb.best[:0], 0
 	if st.Terminal() {
 		return st.Score()
 	}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/morpion"
 	"repro/internal/samegame"
 	"repro/internal/stats"
+	"repro/internal/sudoku"
 	"repro/internal/vtime"
 )
 
@@ -192,4 +193,35 @@ func BenchmarkPoolFirstMove(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPoolSmallJob measures the repository benchmark's serve-small
+// jobs on a persistent pool of its shape (1 slot, 2 medians, 2 clients),
+// built and warmed outside the timer. One op is the workload's job mix —
+// two Sudoku box-2 jobs and one 5×5 three-colour SameGame job, level 2
+// with memorization — run back to back, so ns/op is what the pool's
+// protocol costs tiny jobs and allocs/op their per-mix garbage.
+func BenchmarkPoolSmallJob(b *testing.B) {
+	pool, err := NewPool(PoolConfig{Slots: 1, Medians: 2, Clients: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Shutdown()
+	mix := func() {
+		for _, cfg := range []Config{
+			{Level: 2, Root: sudoku.New(2), Seed: 1, Memorize: true},
+			{Level: 2, Root: sudoku.New(2), Seed: 2, Memorize: true},
+			{Level: 2, Root: samegame.NewRandom(5, 5, 3, 7), Seed: 3, Memorize: true},
+		} {
+			if _, err := pool.RunJob(0, cfg, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	mix()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mix()
+	}
 }

@@ -77,6 +77,7 @@ const (
 	tagRanksRevived                     // External -> dispatcher/median: abandoned ranks rejoined after all
 	tagJobFail                          // External -> slot: pool degraded below its floor, fail the job
 	tagSpecCancel                       // scheduler -> median: speculative branch cancelled
+	tagStepMark                         // median -> itself: end of an in-place step's mailbox drain
 )
 
 // Per-slot tag-band offsets (see mpi.TagSpace): the scheduler tells jobs
@@ -1097,10 +1098,11 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		runDone:   make(chan struct{}),
 		slotBusy:  make([]bool, cfg.Slots),
 		slotEpoch: make([]uint64, cfg.Slots),
-		// The in-process pool hosts all cfg.Clients client ranks, so that
-		// is the most submitters the batcher can ever have in at once; a
-		// net coordinator hosts none and its batcher sits unused (each
-		// pnmcs-worker builds its own, clamped to its hosted share).
+		// The in-process pool hosts all cfg.Clients client ranks, so a
+		// batch of that size fills whenever every client is busy, and
+		// medians scoring in place only add submitters; a net coordinator
+		// hosts none and its batcher sits unused (each pnmcs-worker builds
+		// its own, clamped to its hosted share).
 		batch: newEvalBatcher(min(cfg.EvalBatch, cfg.Clients), cfg.EvalFlush, vtime.Wall()),
 		// Same hosting logic as the batcher: one cache shared by every
 		// client rank this process hosts; a net coordinator's sits empty
@@ -1130,7 +1132,8 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		// skips the bookkeeping.
 		runFaultAwareDispatcher(c, dispLay, dispCfg, longest)
 	})
-	startPoolWorkers(p.cluster, world, p.batch, p.cache, cfg.CacheVerify, p.coll.addMedianIdle, p.coll.addClientIdle)
+	startPoolWorkers(p.cluster, world, world.firstWorker(), mpi.Rank(world.size()), p.batch, p.cache, cfg.CacheVerify,
+		p.coll.addMedianIdle, p.coll.addClientIdle)
 
 	go func() {
 		p.cluster.Run()
@@ -1144,21 +1147,29 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 // pool itself (collector-backed sinks) and by ServeWorker in a remote
 // worker process (worker-local sinks) — the bodies are identical on both
 // sides of the wire, and a cluster hosting only some of the ranks ignores
-// the Start calls for the others. batch is the process-local evaluation
-// batcher the hosted client ranks share; tc is their shared transposition
-// cache (consulted only on jobs whose params ask for it) and cacheVerify
-// turns every hit into a recompute-and-compare assertion.
-func startPoolWorkers(cl mpi.Cluster, world *poolWorld, batch *evalBatcher, tc *cache.Cache, cacheVerify bool, medianIdle, clientIdle func(i int, d time.Duration)) {
+// the Start calls for the others. [lo, hi) is the worker rank range cl
+// hosts: when it spans every median and client, the medians score their
+// one-chunk steps in place (see runPoolMedian). batch is the
+// process-local evaluation batcher the hosted rollouts share; tc is their
+// shared transposition cache (consulted only on jobs whose params ask for
+// it) and cacheVerify turns every hit into a recompute-and-compare
+// assertion.
+func startPoolWorkers(cl mpi.Cluster, world *poolWorld, lo, hi mpi.Rank, batch *evalBatcher, tc *cache.Cache, cacheVerify bool, medianIdle, clientIdle func(i int, d time.Duration)) {
+	colocated := lo <= world.firstWorker() && int(hi) >= world.size()
 	for i := 0; i < world.cfg.Medians; i++ {
 		i := i
 		cl.Start(world.medians[i], func(c mpi.Comm) {
-			runPoolMedian(c, world, func(d time.Duration) { medianIdle(i, d) })
+			var local *rolloutScorer
+			if colocated {
+				local = newRolloutScorer(batch, tc, cacheVerify)
+			}
+			runPoolMedian(c, world, local, func(d time.Duration) { medianIdle(i, d) })
 		})
 	}
 	for i := 0; i < world.cfg.Clients; i++ {
 		i := i
 		cl.Start(world.clients[i], func(c mpi.Comm) {
-			runPoolClient(c, world, batch, tc, cacheVerify, func(d time.Duration) { clientIdle(i, d) })
+			runPoolClient(c, world, newRolloutScorer(batch, tc, cacheVerify), func(d time.Duration) { clientIdle(i, d) })
 		})
 	}
 }
@@ -2101,6 +2112,23 @@ func (mc *medianComm) recv() mpi.Msg {
 	return msg
 }
 
+// drain ends an in-place step: it sends the median a tagStepMark and
+// handles everything already in its mailbox through recv until the mark
+// comes back. It reports false once a shutdown has been seen.
+func (mc *medianComm) drain() bool {
+	self := mc.c.Rank()
+	mc.c.Send(self, tagStepMark, nil)
+	for {
+		msg := mc.recv()
+		if mc.shut {
+			return false
+		}
+		if msg.Tag == tagStepMark && msg.From == self {
+			return true
+		}
+	}
+}
+
 // runPoolMedian is the persistent form of the per-run median process:
 // pull a candidate from the shared scheduler, play its full level-(ℓ−1)
 // game, report the score to the owning slot, repeat. Each step of the
@@ -2112,6 +2140,18 @@ func (mc *medianComm) recv() mpi.Msg {
 // being played (the PR 2 prefetch window at its default of 1), so the
 // next grant travels during computation. The median's StatePool and move
 // buffers persist across jobs and domains.
+//
+// In-place steps: local is non-nil when this median's process hosts every
+// median and client rank (every NewPool, and a pnmcs-worker serving the
+// whole worker range). Then a step that would be one chunk — stepChunks
+// == 1, i.e. Clients ≤ Medians, or a single candidate — is scored by the
+// median itself with local, under the same rollout keys a client would
+// use: shipping it would buy no parallelism, only a dispatcher request,
+// an assign, a job and a result while the median sits idle. After each
+// in-place step the median sends itself a tagStepMark and drains its
+// mailbox through recv until the mark returns, so grants, speculation
+// cancels and loss notices are seen at every step boundary — at most one
+// step's rollouts late, the same bound a shipped chunk has.
 //
 // The body is written against mpi.Comm and the poolWorld layout only, so
 // the identical function runs as a coordinator goroutine (wall pool) or
@@ -2128,7 +2168,7 @@ func (mc *medianComm) recv() mpi.Msg {
 // chunk start of the current step, with one score per chunk move, is
 // accepted, so churn can never smuggle a stale step's scores into a
 // later one.
-func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
+func runPoolMedian(c mpi.Comm, w *poolWorld, local *rolloutScorer, idle func(time.Duration)) {
 	var pool core.StatePool
 	var moves []game.Move
 	var scores []float64
@@ -2172,12 +2212,28 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 			if n == 0 {
 				break
 			}
+			scores = slices.Grow(scores[:0], n)[:n] // every chunk's result overwrites its slice
+			k := stepChunks(n, w.cfg.Medians, w.cfg.Clients)
+			if local != nil && k == 1 {
+				u := local.score(svcJob{Step: cand.Step, Cand: cand.Cand, T: t, P: cand.P, Moves: moves, State: st}, scores)
+				c.Work(u * cand.P.JobScale)
+				rollouts += int64(n)
+				units += u
+				if !mc.drain() {
+					return
+				}
+				if mc.covered(cand) {
+					aborted = true
+					break game
+				}
+				st.Play(moves[argmax(scores)])
+				c.Work(1)
+				continue
+			}
 			// One snapshot of the position per step, read by every chunk's
 			// client; st itself moves on once the step is scored.
 			parent := pool.Get(st)
 			c.Work(core.CloneCost)
-			scores = slices.Grow(scores[:0], n)[:n] // every chunk's result overwrites its slice
-			k := stepChunks(n, w.cfg.Medians, w.cfg.Clients)
 			chunks = chunks[:0]
 			sendq = sendq[:0]
 			for i := 0; i < k; i++ {
@@ -2302,35 +2358,81 @@ func chunkAt(chunks []stepChunk, seq int) int {
 	return -1
 }
 
-// runPoolClient is the persistent rollout worker. Chunks of any domain,
-// level and memorization mix arrive interleaved; each rollout's random
-// stream is reseeded from (job seed, logical coordinates), so a given
-// candidate's score is identical no matter which client executes it, in
-// which chunk, in which order, or what ran on this client before — the
-// property the equivalence tests pin against solo RunWall runs on both
-// the wall and net transports. Searchers (one per memorization mode,
-// sharing nothing), their scratch StatePools and the client's own pool of
-// rollout positions persist across jobs. Like runPoolMedian, the body is
-// transport-blind and runs unchanged in the coordinator or in a
-// pnmcs-worker process. tc is the process-shared transposition cache;
-// jobs opt in per job (jb.P.Cache), and because a cached job's
-// sub-searches draw from position-derived rng streams the cache is shared
-// across jobs and clients without coupling their results to each other's
-// hit patterns.
-func runPoolClient(c mpi.Comm, w *poolWorld, batch *evalBatcher, tc *cache.Cache, cacheVerify bool, idle func(time.Duration)) {
-	meter := &unitMeter{}
-	searchers := map[bool]*core.Searcher{}
-	searcherFor := func(memorize bool) *core.Searcher {
-		s, ok := searchers[memorize]
-		if !ok {
-			s = core.NewSearcher(rng.New(0), core.Options{Meter: meter, Memorize: memorize})
-			searchers[memorize] = s
-		}
-		return s
-	}
-	var pool core.StatePool
-	var legal []game.Move
+// rolloutScorer scores a median step's candidate rollouts: each move is
+// played on a copy of the step's parent and searched at level ℓ−2 under
+// the rng stream of its logical coordinates (rolloutKey) and the job's
+// seed, so a candidate's score is the same whoever scores it, in whichever
+// chunk or order. It owns what persists across jobs and domains: one
+// searcher per memorization mode (sharing nothing), their unit meter and
+// the pool of rollout positions. Evaluator and cache are wired per job
+// from the job's params. Client ranks score the chunks they are sent with
+// one; a median that scores its steps in place holds its own.
+type rolloutScorer struct {
+	batch       *evalBatcher
+	tc          *cache.Cache
+	cacheVerify bool
+	meter       unitMeter
+	searchers   map[bool]*core.Searcher
+	pool        core.StatePool
+}
 
+func newRolloutScorer(batch *evalBatcher, tc *cache.Cache, cacheVerify bool) *rolloutScorer {
+	return &rolloutScorer{batch: batch, tc: tc, cacheVerify: cacheVerify, searchers: map[bool]*core.Searcher{}}
+}
+
+// score writes the rollout score of jb.Moves[j] into scores[j] and
+// returns the work units metered across the rollouts. jb.State is only
+// read, through copies.
+func (rs *rolloutScorer) score(jb svcJob, scores []float64) int64 {
+	s, ok := rs.searchers[jb.P.Memorize]
+	if !ok {
+		s = core.NewSearcher(rng.New(0), core.Options{Meter: &rs.meter, Memorize: jb.P.Memorize})
+		rs.searchers[jb.P.Memorize] = s
+	}
+	// Per-job evaluator wiring: jobs of differing evaluator configurations
+	// interleave on one persistent searcher, so the evaluator is swapped
+	// per job like the rng stream is reseeded. The batched facade blocks
+	// this rollout while its batch coalesces with the process's other
+	// submissions.
+	if jb.P.Eval != "" {
+		s.SetEvaluator(rs.batch.evaluatorFor(jb.P.Eval))
+	} else {
+		s.SetEvaluator(nil)
+	}
+	if jb.P.Cache {
+		s.SetCache(rs.tc, cache.Scope(jb.P.Eval, jb.P.Memorize, 0), rs.cacheVerify)
+	}
+	rs.meter.units = 0
+	for j, mv := range jb.Moves {
+		child := rs.pool.Get(jb.State)
+		child.Play(mv)
+		s.Reseed(jb.P.Seed, rolloutKey(jb.Step, jb.Cand, jb.T, jb.First+j))
+		scores[j] = s.Score(child, jb.P.Level-2)
+		rs.pool.Put(child)
+	}
+	if jb.P.Cache {
+		s.SetCache(nil, 0, false)
+	}
+	return rs.meter.units
+}
+
+// runPoolClient is the persistent rollout worker: it scores the chunks
+// medians ship to it with rs. Chunks of any domain, level and
+// memorization mix arrive interleaved; each rollout's random stream is
+// reseeded from (job seed, logical coordinates), so a given candidate's
+// score is identical no matter which client executes it, in which chunk,
+// in which order, or what ran on this client before — the property the
+// equivalence tests pin against solo RunWall runs on both the wall and
+// net transports. Like runPoolMedian, the body is transport-blind and
+// runs unchanged in the coordinator or in a pnmcs-worker process. Jobs
+// opt in to rs's process-shared transposition cache per job (jb.P.Cache),
+// and because a cached job's sub-searches draw from position-derived rng
+// streams the cache is shared across jobs and clients without coupling
+// their results to each other's hit patterns. On a pool whose medians
+// score one-chunk steps in place (see runPoolMedian), clients only see
+// the steps of more than one chunk.
+func runPoolClient(c mpi.Comm, w *poolWorld, rs *rolloutScorer, idle func(time.Duration)) {
+	var legal []game.Move
 	for {
 		t0 := c.Now()
 		msg := c.Recv(mpi.AnyRank, mpi.AnyTag)
@@ -2350,10 +2452,10 @@ func runPoolClient(c mpi.Comm, w *poolWorld, batch *evalBatcher, tc *cache.Cache
 			// read through copies.
 			var base game.State
 			if ok {
-				base = pool.Get(jb.State)
+				base = rs.pool.Get(jb.State)
 				legal = base.LegalMoves(legal[:0])
 				if !allLegal(jb.Moves, legal) {
-					pool.Put(base)
+					rs.pool.Put(base)
 					ok = false
 				}
 			}
@@ -2365,47 +2467,17 @@ func runPoolClient(c mpi.Comm, w *poolWorld, batch *evalBatcher, tc *cache.Cache
 				continue
 			}
 			median := msg.From
-
-			meter.units = 0
-			s := searcherFor(jb.P.Memorize)
-			// Per-job evaluator wiring: jobs of differing evaluator
-			// configurations interleave on one persistent searcher, so the
-			// evaluator is swapped per job like the rng stream is reseeded.
-			// The batched facade blocks this rollout while its batch
-			// coalesces with the other client ranks' submissions.
-			if jb.P.Eval != "" {
-				s.SetEvaluator(batch.evaluatorFor(jb.P.Eval))
-			} else {
-				s.SetEvaluator(nil)
-			}
-			if jb.P.Cache {
-				s.SetCache(tc, cache.Scope(jb.P.Eval, jb.P.Memorize, 0), cacheVerify)
-			}
+			key := resultKey(jb.P, jb.Par, rolloutKey(jb.Step, jb.Cand, jb.T, jb.First))
+			jb.State = base
+			// A fresh slice per result: on in-process transports the median
+			// reads it by reference after this client has moved on.
 			scores := make([]float64, len(jb.Moves))
-			for j, mv := range jb.Moves {
-				child := pool.Get(base)
-				child.Play(mv)
-				s.Reseed(jb.P.Seed, rolloutKey(jb.Step, jb.Cand, jb.T, jb.First+j))
-				if jb.P.Cache {
-					scores[j] = s.NestedCached(child, jb.P.Level-2).Score
-				} else {
-					scores[j] = s.Nested(child, jb.P.Level-2).Score
-				}
-				pool.Put(child)
-			}
-			if jb.P.Cache {
-				s.SetCache(nil, 0, false)
-			}
-			pool.Put(base)
-			c.Work(meter.units * jb.P.JobScale)
+			units := rs.score(jb, scores)
+			rs.pool.Put(base)
+			c.Work(units * jb.P.JobScale)
 
 			c.Send(w.disp, tagFree, nil)
-			c.Send(median, tagResult, svcResult{
-				Key:    resultKey(jb.P, jb.Par, rolloutKey(jb.Step, jb.Cand, jb.T, jb.First)),
-				Seq:    jb.First,
-				Scores: scores,
-				Units:  meter.units,
-			})
+			c.Send(median, tagResult, svcResult{Key: key, Seq: jb.First, Scores: scores, Units: units})
 		}
 	}
 }

@@ -96,7 +96,7 @@ func ServeWorker(w *mpi.NetWorker) (WorkerStats, error) {
 	// are pure functions of position content, so worker caches need no
 	// coherence protocol, they just overlap.
 	tc := cache.New(int64(world.cfg.CacheMB) << 20)
-	startPoolWorkers(w, world, batch, tc, world.cfg.CacheVerify, medianIdle, clientIdle)
+	startPoolWorkers(w, world, lo, hi, batch, tc, world.cfg.CacheVerify, medianIdle, clientIdle)
 
 	w.Run()
 	var total int64
